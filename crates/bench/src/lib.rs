@@ -75,7 +75,7 @@ pub struct ScalingRow {
 /// the performance trajectory against this file.
 pub fn write_bench_scaling(widths: u16, rows: &[ScalingRow]) {
     let value = serde_json::json!({
-        "benchmark": "train_async_actor_scaling",
+        "benchmark": "async_actor_scaling",
         "n": widths,
         "rows": rows.iter().map(|r| serde_json::json!({
             "actors": r.actors,

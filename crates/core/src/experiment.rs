@@ -13,8 +13,7 @@
 //!   in-process.
 //! - [`Runner`] — the one training-loop abstraction. [`SerialRunner`]
 //!   (deterministic, checkpointable) and [`AsyncRunner`] (actor/learner
-//!   threads, see [`crate::parallel`]) both implement it; the historical
-//!   `train*` free functions are thin deprecated wrappers over it.
+//!   threads, see [`crate::parallel`]) both implement it.
 //! - [`RunObserver`] + [`Event`] — a streaming event interface replacing
 //!   the return-everything-at-the-end result blob: per-step, per-gradient,
 //!   per-episode, per-design, and per-checkpoint events, with
@@ -633,7 +632,6 @@ pub struct ExperimentBuilder {
     base: Option<AgentConfig>,
     task: Arc<dyn CircuitTask>,
     backend: Arc<dyn ObjectiveBackend>,
-    evaluator: Option<Box<dyn Evaluator>>,
     stack: Option<EvalStack>,
     eval_threads: usize,
     cache_shards: usize,
@@ -656,7 +654,6 @@ impl ExperimentBuilder {
             base: None,
             task: Arc::new(Adder),
             backend: Arc::new(AnalyticalBackend),
-            evaluator: None,
             stack: None,
             eval_threads: 4,
             cache_shards: 16,
@@ -685,8 +682,7 @@ impl ExperimentBuilder {
     }
 
     /// The objective backend scoring the task (defaults to
-    /// [`AnalyticalBackend`]). Ignored when the deprecated
-    /// [`ExperimentBuilder::evaluator`] override is set.
+    /// [`AnalyticalBackend`]).
     pub fn backend(mut self, backend: Arc<dyn ObjectiveBackend>) -> Self {
         self.backend = backend;
         self
@@ -714,19 +710,6 @@ impl ExperimentBuilder {
     /// weight and seed are still applied on top.
     pub fn base_config(mut self, cfg: AgentConfig) -> Self {
         self.base = Some(cfg);
-        self
-    }
-
-    /// Overrides the reward oracle with a raw [`Evaluator`], bypassing the
-    /// task/backend pair. The experiment still wraps it in the shared
-    /// sharded cache and [`EvalService`], and the configured task still
-    /// drives start states and checkpoints.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `.task(...)` / `.backend(...)`; custom oracles implement `ObjectiveBackend`"
-    )]
-    pub fn evaluator(mut self, evaluator: Box<dyn Evaluator>) -> Self {
-        self.evaluator = Some(evaluator);
         self
     }
 
@@ -831,8 +814,7 @@ impl ExperimentBuilder {
     /// thread-budget discipline, and [`Experiment::cache_stats`] reports
     /// the *shared* store's aggregate counters. The caller must bind an
     /// evaluator matching `.task(...)`/`.backend(...)` — the discriminant
-    /// keying assumes it. Takes precedence over the deprecated
-    /// `.evaluator(...)` override.
+    /// keying assumes it.
     pub fn eval_stack(
         mut self,
         cache: Arc<CachedEvaluator<Box<dyn Evaluator>>>,
@@ -847,33 +829,16 @@ impl ExperimentBuilder {
     /// (or the externally owned stack from
     /// [`ExperimentBuilder::eval_stack`]).
     pub fn build(self) -> Experiment {
-        let (cache, service, backend_label, oracle_overridden) = match self.stack {
-            Some((cache, service)) => {
-                // Externally owned stack: the caller bound the evaluator,
-                // the configured backend is only used for labels and
-                // off-reward-path annotations.
-                (cache, service, self.backend.backend_id().to_string(), false)
-            }
+        let (cache, service) = match self.stack {
+            // Externally owned stack: the caller bound the evaluator, the
+            // configured backend is only used for labels and
+            // off-reward-path annotations.
+            Some(stack) => stack,
             None => {
-                // With the deprecated raw-oracle override, `self.backend`
-                // never scores anything: stamp reports with the override's
-                // own name and skip backend annotations rather than report
-                // the unused default.
-                let (inner, backend_label, oracle_overridden): (Box<dyn Evaluator>, String, bool) =
-                    match self.evaluator {
-                        Some(ev) => {
-                            let label = ev.name().to_string();
-                            (ev, label, true)
-                        }
-                        None => (
-                            Box::new(TaskEvaluator::new(
-                                Arc::clone(&self.task),
-                                Arc::clone(&self.backend),
-                            )),
-                            self.backend.backend_id().to_string(),
-                            false,
-                        ),
-                    };
+                let inner: Box<dyn Evaluator> = Box::new(TaskEvaluator::new(
+                    Arc::clone(&self.task),
+                    Arc::clone(&self.backend),
+                ));
                 let cache = Arc::new(CachedEvaluator::with_config(
                     inner,
                     CacheConfig::with_shards(self.cache_shards),
@@ -882,7 +847,7 @@ impl ExperimentBuilder {
                     Arc::clone(&cache) as Arc<dyn Evaluator>,
                     self.eval_threads,
                 ));
-                (cache, service, backend_label, oracle_overridden)
+                (cache, service)
             }
         };
         let evaluator_name = cache.name().to_string();
@@ -907,8 +872,6 @@ impl ExperimentBuilder {
             runs,
             task: self.task,
             backend: self.backend,
-            backend_label,
-            oracle_overridden,
             cache,
             service,
             evaluator_name,
@@ -947,12 +910,6 @@ pub struct Experiment {
     runs: Vec<Run>,
     task: Arc<dyn CircuitTask>,
     backend: Arc<dyn ObjectiveBackend>,
-    /// What reports stamp as the backend: the backend id, or the
-    /// deprecated oracle override's name when one is set.
-    backend_label: String,
-    /// True when the deprecated raw-oracle override replaced the backend
-    /// (annotations are skipped — the backend never scored anything).
-    oracle_overridden: bool,
     cache: Arc<CachedEvaluator<Box<dyn Evaluator>>>,
     service: Arc<EvalService>,
     evaluator_name: String,
@@ -1212,22 +1169,18 @@ impl Experiment {
         // merged frontier, when the backend produces them. Indexed in the
         // frontier's (deterministic, strictly-delay-increasing) iteration
         // order, which `merged_front()` reproduces from the same records.
-        let frontier_power: Option<Vec<f64>> = if self.oracle_overridden {
-            None
-        } else {
-            let merged: ParetoFront<PrefixGraph> = records
-                .iter()
-                .flat_map(|r| r.designs.iter().map(|(g, p)| (*p, g.clone())))
-                .collect();
-            merged
-                .iter()
-                .map(|(_, g)| self.backend.annotate(self.task.as_ref(), g))
-                .collect()
-        };
+        let merged: ParetoFront<PrefixGraph> = records
+            .iter()
+            .flat_map(|r| r.designs.iter().map(|(g, p)| (*p, g.clone())))
+            .collect();
+        let frontier_power: Option<Vec<f64>> = merged
+            .iter()
+            .map(|(_, g)| self.backend.annotate(self.task.as_ref(), g))
+            .collect();
         Ok(ExperimentResult {
             n: self.runs[0].cfg.env.n,
             task: self.task.task_id().to_string(),
-            backend: self.backend_label.clone(),
+            backend: self.backend.backend_id().to_string(),
             evaluator: self.evaluator_name.clone(),
             steps_per_agent: self.runs[0].cfg.total_steps,
             actors_per_agent: self.actors,
@@ -1289,7 +1242,7 @@ pub struct ExperimentResult {
     pub task: String,
     /// The objective backend's stable id (e.g. `"analytical"`).
     pub backend: String,
-    /// Inner evaluator name (`task/backend` unless overridden).
+    /// Inner evaluator name (`task/backend`, e.g. `"adder/analytical"`).
     pub evaluator: String,
     /// Step budget per agent.
     pub steps_per_agent: u64,

@@ -8,9 +8,7 @@
 //!   bound to an [`task::ObjectiveBackend`] (analytical, synthesis,
 //!   synthesis with power annotation) through [`task::TaskEvaluator`];
 //! - [`evaluator`]: the oracle interface and the `(area, delay)`
-//!   objective-point currency with its strict/weak dominance definitions
-//!   (the historical adder-specific evaluators remain as deprecated
-//!   wrappers);
+//!   objective-point currency with its strict/weak dominance definitions;
 //! - [`cache`]: the sharded, bounded synthesis result cache keyed by
 //!   canonical graph state, with in-flight dedup of concurrent misses
 //!   (Section IV-D reports 50%/10% hit rates at 32b/64b);
@@ -72,8 +70,6 @@ pub mod prelude {
     pub use crate::checkpoint::{Checkpoint, SweepCheckpoint};
     pub use crate::env::{EnvConfig, PrefixEnv};
     pub use crate::evalsvc::{evaluate_batch, EvalService};
-    #[allow(deprecated)]
-    pub use crate::evaluator::{AnalyticalEvaluator, SynthesisEvaluator};
     pub use crate::evaluator::{Evaluator, ObjectivePoint};
     pub use crate::experiment::{
         greedy_designs, AsyncRunner, CallbackObserver, CancelToken, ChannelObserver, Event,

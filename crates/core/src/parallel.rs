@@ -208,9 +208,8 @@ impl AsyncRunner {
         }
     }
 
-    /// Convenience: trains one agent to completion unobserved — the
-    /// one-shot equivalent of the old `train_async` free function. Sweeps
-    /// and observed runs should go through
+    /// Convenience: trains one agent to completion unobserved. Sweeps and
+    /// observed runs should go through
     /// [`crate::experiment::Experiment`].
     ///
     /// # Panics
@@ -588,37 +587,6 @@ fn run_async(
         designs: designs.into_iter().map(|(_, d)| d).collect(),
         losses,
         episode_returns: episode_returns.into_inner(),
-    }
-}
-
-/// Trains with `num_actors` parallel experience generators and one learner.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `experiment::Experiment::builder().actors(n)` (or `AsyncRunner` directly) instead"
-)]
-pub fn train_async(
-    cfg: &AgentConfig,
-    evaluator: Arc<dyn Evaluator>,
-    num_actors: usize,
-) -> TrainResult {
-    assert!(num_actors > 0, "need at least one actor");
-    let task =
-        task::by_name(&cfg.env.task).unwrap_or_else(|| panic!("unknown task `{}`", cfg.env.task));
-    let record = run_async(
-        0,
-        cfg,
-        task,
-        evaluator,
-        num_actors,
-        true,
-        &mut NullObserver,
-        &CancelToken::new(),
-    );
-    TrainResult {
-        designs: record.designs,
-        losses: record.losses,
-        episode_returns: record.episode_returns,
-        steps: record.steps,
     }
 }
 

@@ -6,8 +6,8 @@
 //! output channels holding, per grid position,
 //! `[Q_area(add), Q_area(del), Q_delay(add), Q_delay(del)]`.
 //!
-//! The network is stored as a *typed* layer tree (not a `Sequential` of
-//! boxed layers) so the conv→batch-norm pairs are visible to fusion:
+//! The network is stored as a *typed* layer tree (not a list of boxed
+//! layers) so the conv→batch-norm pairs are visible to fusion:
 //! [`PrefixQNet::frozen`] folds every batch-norm into its preceding
 //! convolution ([`nn::Conv2d::fused`]) and returns a [`FrozenQNet`] — an
 //! immutable, `Send + Sync` inference network implementing [`rl::QInfer`]
@@ -531,6 +531,23 @@ mod tests {
     use crate::env::{EnvConfig, PrefixEnv};
     use crate::task::{Adder, TaskEvaluator};
     use std::sync::Arc;
+
+    /// The paper block's full conv5→BN→act→conv5→BN + skip backward,
+    /// checked by finite differences. Both activations have slope 1:
+    /// batch-norm centres values at zero, so finite differences through the
+    /// LeakyReLU kink are meaningless, but with a smooth activation the
+    /// BN/conv/skip gradient math is checkable exactly. (LeakyReLU's own
+    /// gradient is covered by its unit tests.)
+    #[test]
+    fn paper_block_gradient_check_smooth() {
+        let block = PaperBlock {
+            act1: LeakyReLU::new(1.0),
+            act_out: LeakyReLU::new(1.0),
+            ..PaperBlock::new(2, 8)
+        };
+        let err = nn::gradcheck::check_layer(Box::new(block), [2, 2, 4, 4], 37);
+        assert!(err < 3e-2, "paper block gradient error {err}");
+    }
 
     #[test]
     fn output_layout_matches_action_space() {

@@ -27,10 +27,6 @@
 //! [`Evaluator::cache_discriminant`] is derived from `(task_id,
 //! backend_id)`, so evaluation caches never alias points across tasks or
 //! backends even when shared.
-//!
-//! The historical [`crate::evaluator::AnalyticalEvaluator`] /
-//! [`crate::evaluator::SynthesisEvaluator`] pair remains as deprecated
-//! wrappers over the adder task.
 
 use crate::evaluator::{Evaluator, ObjectivePoint};
 use netlist::{Library, Netlist};

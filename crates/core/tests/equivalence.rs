@@ -53,7 +53,7 @@ fn serial_and_async_frontiers_comparable() {
     }
 }
 
-/// The acceptance workload: `train_async` at 4 actors over the sharded
+/// The acceptance workload: 4 async actors over the sharded
 /// cache on the N=8 analytical setting shows a nonzero cache hit rate
 /// (start states recur on every episode reset).
 #[test]

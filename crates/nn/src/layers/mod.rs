@@ -4,15 +4,11 @@ mod activation;
 mod batchnorm;
 mod conv;
 mod linear;
-mod residual;
-mod sequential;
 
 pub use activation::LeakyReLU;
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use linear::Linear;
-pub use residual::ResidualBlock;
-pub use sequential::Sequential;
 
 use crate::compute::Scratch;
 use crate::tensor::Tensor;

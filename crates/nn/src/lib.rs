@@ -2,10 +2,11 @@
 //!
 //! The paper's RL/DL stack ran on GPUs with a mainstream framework; the Rust
 //! ecosystem substitution (see DESIGN.md) is this crate: NCHW tensors,
-//! `Conv2d` (same padding), `BatchNorm2d`, `LeakyReLU`, `Linear`, residual
-//! blocks and `Sequential` containers, with full backpropagation, Adam/SGD
-//! optimizers, Huber/MSE losses, parameter (de)serialization and
-//! finite-difference gradient checking.
+//! `Conv2d` (same padding), `BatchNorm2d`, `LeakyReLU` and `Linear` layers,
+//! with full backpropagation, the Adam optimizer, Huber/MSE losses,
+//! parameter (de)serialization and finite-difference gradient checking.
+//! Networks compose these as typed [`Layer`] trees (the PrefixRL Q-network
+//! lives in `prefixrl_core::qnet`).
 //!
 //! The design favours determinism *and* throughput: every matrix product
 //! routes through the register-tiled, cache-blocked kernels in [`compute`]
@@ -26,21 +27,20 @@
 //! # Example
 //!
 //! ```
-//! use nn::{Tensor, Layer, Sequential, Conv2d, BatchNorm2d, LeakyReLU, Adam};
+//! use nn::{Adam, BatchNorm2d, Conv2d, Layer, LeakyReLU, Tensor};
 //!
-//! let mut net = Sequential::new(vec![
-//!     Box::new(Conv2d::new(3, 8, 3, 42)),
-//!     Box::new(BatchNorm2d::new(8)),
-//!     Box::new(LeakyReLU::default()),
-//!     Box::new(Conv2d::new(8, 1, 1, 43)),
-//! ]);
-//! let x = Tensor::zeros([2, 3, 8, 8]);
-//! let y = net.forward(&x, true);
-//! assert_eq!(y.shape(), [2, 1, 8, 8]);
-//! let grad = Tensor::ones([2, 1, 8, 8]);
-//! net.backward(&grad);
+//! // conv3×3 → batch-norm → LeakyReLU, chained by hand; a composite
+//! // network is a struct implementing `Layer` over typed fields like these.
+//! let mut conv = Conv2d::new(3, 8, 3, 42);
+//! let mut bn = BatchNorm2d::new(8);
+//! let mut act = LeakyReLU::default();
+//! let x = Tensor::ones([2, 3, 8, 8]);
+//! let y = act.forward(&bn.forward(&conv.forward(&x, true), true), true);
+//! assert_eq!(y.shape(), [2, 8, 8, 8]);
+//! let grad = act.backward(&Tensor::ones([2, 8, 8, 8]));
+//! conv.backward(&bn.backward(&grad));
 //! let mut adam = Adam::new(1e-3);
-//! adam.step(&mut net);
+//! adam.step(&mut conv);
 //! ```
 
 #![warn(missing_docs)]
@@ -55,7 +55,7 @@ pub mod simd;
 pub mod tensor;
 
 pub use compute::{Scratch, ThreadPool};
-pub use layers::{BatchNorm2d, Conv2d, Layer, LeakyReLU, Linear, Param, ResidualBlock, Sequential};
+pub use layers::{BatchNorm2d, Conv2d, Layer, LeakyReLU, Linear, Param};
 pub use loss::{huber_loss_grad, mse_loss_grad};
-pub use optim::{Adam, AdamState, Sgd};
+pub use optim::{Adam, AdamState};
 pub use tensor::Tensor;

@@ -136,47 +136,6 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// Creates SGD without momentum.
-    pub fn new(lr: f32) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// Creates SGD with momentum.
-    pub fn with_momentum(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one SGD update.
-    pub fn step(&mut self, net: &mut dyn Layer) {
-        let (lr, mom) = (self.lr, self.momentum);
-        let vel = &mut self.velocity;
-        let mut idx = 0usize;
-        net.visit_params(&mut |p| {
-            if vel.len() <= idx {
-                vel.push(vec![0.0; p.data.len()]);
-            }
-            let v = &mut vel[idx];
-            for ((v, d), &g) in v.iter_mut().zip(p.data.iter_mut()).zip(&p.grad) {
-                *v = mom * *v + g;
-                *d -= lr * *v;
-            }
-            idx += 1;
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,7 +143,7 @@ mod tests {
     use crate::loss::mse_loss_grad;
     use crate::tensor::Tensor;
 
-    fn train(optim: &mut dyn FnMut(&mut Linear), steps: usize) -> f32 {
+    fn train(adam: &mut Adam, steps: usize) -> f32 {
         // Fit y = 2x with a 1-parameter linear layer.
         let mut lin = Linear::new(1, 1, 0);
         let x = Tensor::from_vec([4, 1, 1, 1], vec![1.0, 2.0, 3.0, 4.0]);
@@ -195,7 +154,7 @@ mod tests {
             let (l, g) = mse_loss_grad(&y, &t);
             lin.zero_grad();
             lin.backward(&g);
-            optim(&mut lin);
+            adam.step(&mut lin);
             last = l;
         }
         last
@@ -204,15 +163,8 @@ mod tests {
     #[test]
     fn adam_converges_on_regression() {
         let mut adam = Adam::new(0.05);
-        let loss = train(&mut |l| adam.step(l), 1200);
+        let loss = train(&mut adam, 1200);
         assert!(loss < 1e-3, "adam final loss {loss}");
-    }
-
-    #[test]
-    fn sgd_converges_on_regression() {
-        let mut sgd = Sgd::with_momentum(0.01, 0.9);
-        let loss = train(&mut |l| sgd.step(l), 400);
-        assert!(loss < 1e-2, "sgd final loss {loss}");
     }
 
     #[test]

@@ -127,25 +127,18 @@ pub fn digest(tensors: &[Vec<f32>]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Conv2d, LeakyReLU, Sequential};
+    use crate::layers::Conv2d;
     use crate::tensor::Tensor;
 
-    fn build() -> Sequential {
-        Sequential::new(vec![
-            Box::new(Conv2d::new(2, 4, 3, 1)),
-            Box::new(LeakyReLU::default()),
-            Box::new(Conv2d::new(4, 1, 1, 2)),
-        ])
+    /// A 3×3 convolution: two parameter tensors (weight, bias).
+    fn build() -> Conv2d {
+        Conv2d::new(2, 4, 3, 1)
     }
 
     #[test]
     fn state_roundtrip_preserves_outputs() {
         let mut a = build();
-        let mut b = Sequential::new(vec![
-            Box::new(Conv2d::new(2, 4, 3, 99)),
-            Box::new(LeakyReLU::default()),
-            Box::new(Conv2d::new(4, 1, 1, 98)),
-        ]);
+        let mut b = Conv2d::new(2, 4, 3, 99);
         let x = Tensor::ones([1, 2, 4, 4]);
         assert_ne!(a.forward(&x, false).data(), b.forward(&x, false).data());
         let s = state(&mut a);
@@ -168,7 +161,7 @@ mod tests {
     fn mismatched_architecture_errors() {
         let mut a = build();
         let s = state(&mut a);
-        let mut tiny = Sequential::new(vec![Box::new(Conv2d::new(1, 1, 1, 0)) as Box<_>]);
+        let mut tiny = Conv2d::new(1, 1, 1, 0);
         assert!(load_state(&mut tiny, &s).is_err());
     }
 

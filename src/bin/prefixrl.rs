@@ -18,7 +18,7 @@
 
 use prefixrl::prelude::*;
 use prefixrl_serve::{Client, JobSpec, Router, ServeConfig, Server, Topology};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -80,8 +80,37 @@ fn usage() {
     );
 }
 
-fn wants_help(opts: &HashMap<String, String>) -> bool {
-    opts.contains_key("help") || opts.contains_key("-h") || opts.contains_key("h")
+/// Prints `help` and returns `true` on `--help`/`-h`. Otherwise exits 2 on
+/// any option `help` does not document: the accepted set is read from the
+/// `--<name>` tokens of `help` itself, so help and parsing cannot drift
+/// (and a typo like `--stesp` never silently falls back to a default).
+fn help_or_reject(cmd: &str, opts: &HashMap<String, String>, help: &str) -> bool {
+    if opts.contains_key("help") || opts.contains_key("-h") || opts.contains_key("h") {
+        eprintln!("{help}");
+        return true;
+    }
+    let documented: HashSet<&str> = help
+        .split("--")
+        .skip(1)
+        .map(|rest| {
+            let end = rest
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .collect();
+    let mut unknown: Vec<&String> = opts
+        .keys()
+        .filter(|k| !documented.contains(k.as_str()))
+        .collect();
+    if unknown.is_empty() {
+        return false;
+    }
+    unknown.sort();
+    for key in unknown {
+        eprintln!("error: unknown option --{key} (see `prefixrl {cmd} --help`)");
+    }
+    std::process::exit(2);
 }
 
 fn parse_opts(rest: &[String]) -> HashMap<String, String> {
@@ -182,14 +211,12 @@ fn structure(name: &str, n: u16) -> PrefixGraph {
 }
 
 fn cmd_structures(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl structures — survey the regular adder structures\n\
-             \n\
-             OPTIONS\n\
-             \x20 --n <N>                input width (default 16)\n\
-             \x20 --lib nangate45|tech8  cell library (default nangate45)"
-        );
+    let help = "prefixrl structures — survey the regular adder structures\n\
+                \n\
+                OPTIONS\n\
+                \x20 --n <N>                input width (default 16)\n\
+                \x20 --lib nangate45|tech8  cell library (default nangate45)";
+    if help_or_reject("structures", opts, help) {
         return;
     }
     let n: u16 = get(opts, "n", 16);
@@ -228,7 +255,6 @@ fn session_options_help() -> &'static str {
      \x20                          (default synthesis; synthesis-power also\n\
      \x20                          annotates frontier points with estimated\n\
      \x20                          switching power, off the reward path)\n\
-     \x20 --evaluator <name>       deprecated alias for --backend\n\
      \x20 --lib nangate45|tech8    cell library for synthesis rewards\n\
      \x20 --actors <A>             async actor threads per agent (default 1 =\n\
      \x20                          deterministic serial runner; >1 disables\n\
@@ -254,15 +280,15 @@ fn session_options_help() -> &'static str {
 }
 
 fn cmd_train(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl train — train one PrefixRL agent and report its Pareto frontier\n\
-             \n\
-             OPTIONS\n\
-             \x20 --n <N>                  input width (default 8)\n\
-             \x20 --w <w_area>             scalarization weight in [0,1] (default 0.5)\n{}",
-            session_options_help()
-        );
+    let help = format!(
+        "prefixrl train — train one PrefixRL agent and report its Pareto frontier\n\
+         \n\
+         OPTIONS\n\
+         \x20 --n <N>                  input width (default 8)\n\
+         \x20 --w <w_area>             scalarization weight in [0,1] (default 0.5)\n{}",
+        session_options_help()
+    );
+    if help_or_reject("train", opts, &help) {
         return;
     }
     let w: f64 = get(opts, "w", 0.5);
@@ -274,20 +300,20 @@ fn cmd_train(opts: &HashMap<String, String>) {
 }
 
 fn cmd_sweep(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl sweep — train one agent per scalarization weight over one\n\
-             shared evaluation cache and merge their design fronts (paper Fig. 4:\n\
-             15 agents over w_area in [0.10, 0.99])\n\
-             \n\
-             OPTIONS\n\
-             \x20 --n <N>                  input width (default 8)\n\
-             \x20 --weights <K>            number of linspaced agents (default 5)\n\
-             \x20 --w-min <w>              first weight (default 0.10)\n\
-             \x20 --w-max <w>              last weight (default 0.99)\n\
-             \x20 --w-list <w1,w2,...>     explicit weight list (overrides the above)\n{}",
-            session_options_help()
-        );
+    let help = format!(
+        "prefixrl sweep — train one agent per scalarization weight over one\n\
+         shared evaluation cache and merge their design fronts (paper Fig. 4:\n\
+         15 agents over w_area in [0.10, 0.99])\n\
+         \n\
+         OPTIONS\n\
+         \x20 --n <N>                  input width (default 8)\n\
+         \x20 --weights <K>            number of linspaced agents (default 5)\n\
+         \x20 --w-min <w>              first weight (default 0.10)\n\
+         \x20 --w-max <w>              last weight (default 0.99)\n\
+         \x20 --w-list <w1,w2,...>     explicit weight list (overrides the above)\n{}",
+        session_options_help()
+    );
+    if help_or_reject("sweep", opts, &help) {
         return;
     }
     run_session(opts, parse_weights(opts));
@@ -363,20 +389,16 @@ fn circuit_task(opts: &HashMap<String, String>) -> Arc<dyn CircuitTask> {
     })
 }
 
-/// Resolves `--backend` (with `--evaluator` as a deprecated alias),
-/// erroring loudly with the valid names on an unknown value.
+/// Resolves `--backend`, erroring loudly with the valid names on an
+/// unknown value.
 fn objective_backend(
     opts: &HashMap<String, String>,
     median_w: f64,
 ) -> (Arc<dyn ObjectiveBackend>, bool) {
-    let name = match (opts.get("backend"), opts.get("evaluator")) {
-        (Some(b), _) => b.as_str(),
-        (None, Some(e)) => {
-            eprintln!("warning: --evaluator is deprecated; use --backend {e}");
-            e.as_str()
-        }
-        (None, None) => "synthesis",
-    };
+    let name = opts
+        .get("backend")
+        .map(String::as_str)
+        .unwrap_or("synthesis");
     // One backend instance is shared by every agent so the IV-D cache
     // sharing happens; the synthesis curve point is picked at the sweep's
     // median weight (see DESIGN.md §10).
@@ -612,17 +634,15 @@ fn report_human(result: &ExperimentResult) {
 }
 
 fn cmd_eval(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl eval — synthesize a structure across delay targets\n\
-             \n\
-             OPTIONS\n\
-             \x20 --structure <name>     ripple|sklansky|kogge_stone|brent_kung|\n\
-             \x20                        han_carlson|ladner_fischer|sparse_ks_<k>\n\
-             \x20 --n <N>                input width (default 16)\n\
-             \x20 --targets <T>          delay targets to sweep (default 8)\n\
-             \x20 --lib nangate45|tech8  cell library (default nangate45)"
-        );
+    let help = "prefixrl eval — synthesize a structure across delay targets\n\
+                \n\
+                OPTIONS\n\
+                \x20 --structure <name>     ripple|sklansky|kogge_stone|brent_kung|\n\
+                \x20                        han_carlson|ladner_fischer|sparse_ks_<k>\n\
+                \x20 --n <N>                input width (default 16)\n\
+                \x20 --targets <T>          delay targets to sweep (default 8)\n\
+                \x20 --lib nangate45|tech8  cell library (default nangate45)";
+    if help_or_reject("eval", opts, help) {
         return;
     }
     let n: u16 = get(opts, "n", 16);
@@ -651,15 +671,13 @@ fn cmd_eval(opts: &HashMap<String, String>) {
 }
 
 fn cmd_render(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl render — draw a prefix graph\n\
-             \n\
-             OPTIONS\n\
-             \x20 --structure <name>  structure to draw (default brent_kung)\n\
-             \x20 --n <N>             input width (default 16)\n\
-             \x20 --dot               emit Graphviz instead of ASCII"
-        );
+    let help = "prefixrl render — draw a prefix graph\n\
+                \n\
+                OPTIONS\n\
+                \x20 --structure <name>  structure to draw (default brent_kung)\n\
+                \x20 --n <N>             input width (default 16)\n\
+                \x20 --dot               emit Graphviz instead of ASCII";
+    if help_or_reject("render", opts, help) {
         return;
     }
     let n: u16 = get(opts, "n", 16);
@@ -726,37 +744,37 @@ fn report_response(result: Result<serde_json::Value, String>) {
 }
 
 fn cmd_serve(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl serve — run the resident multi-job optimization service\n\
-             \n\
-             Speaks prefixrl.serve.v1 (newline-delimited JSON over local TCP;\n\
-             DESIGN.md §13). Jobs share one sharded evaluation store, finished\n\
-             jobs merge into the persistent per-(task, backend, width) frontier\n\
-             store, and with --state-dir both the frontier store and the job\n\
-             queue survive restarts (even kill -9).\n\
-             \n\
-             OPTIONS\n\
-             \x20 --addr <ip:port>       listen address (default {DEFAULT_SERVE_ADDR};\n\
-             \x20                        port 0 picks an ephemeral port)\n\
-             \x20 --workers <W>          concurrent job workers (default 2)\n\
-             \x20 --queue-capacity <Q>   max queued-or-running jobs (default 256)\n\
-             \x20 --eval-threads <T>     per-job EvalService thread budget (default 2)\n\
-             \x20 --cache-shards <S>     shared evaluation store shards (default 16)\n\
-             \x20 --event-tail <K>       events retained per job for status (default 64)\n\
-             \x20 --state-dir <dir>      persist frontier.json + frontier.wal +\n\
-             \x20                        jobs.json here\n\
-             \x20 --compact-every <K>    WAL records before the frontier store\n\
-             \x20                        compacts (default 64)\n\
-             \n\
-             CLUSTER (DESIGN.md §16; all three flags together)\n\
-             \x20 --shard-id <K>         this node's shard id (0-based)\n\
-             \x20 --peers <a,b,c>        every shard's listen address, in shard-id\n\
-             \x20                        order; --addr defaults to peers[shard-id]\n\
-             \x20 --replicas <R>         followers per primary on the peer ring\n\
-             \x20                        (default 1 with >1 peers; 0 disables\n\
-             \x20                        replication)"
-        );
+    let help = format!(
+        "prefixrl serve — run the resident multi-job optimization service\n\
+         \n\
+         Speaks prefixrl.serve.v1 (newline-delimited JSON over local TCP;\n\
+         DESIGN.md §13). Jobs share one sharded evaluation store, finished\n\
+         jobs merge into the persistent per-(task, backend, width) frontier\n\
+         store, and with --state-dir both the frontier store and the job\n\
+         queue survive restarts (even kill -9).\n\
+         \n\
+         OPTIONS\n\
+         \x20 --addr <ip:port>       listen address (default {DEFAULT_SERVE_ADDR};\n\
+         \x20                        port 0 picks an ephemeral port)\n\
+         \x20 --workers <W>          concurrent job workers (default 2)\n\
+         \x20 --queue-capacity <Q>   max queued-or-running jobs (default 256)\n\
+         \x20 --eval-threads <T>     per-job EvalService thread budget (default 2)\n\
+         \x20 --cache-shards <S>     shared evaluation store shards (default 16)\n\
+         \x20 --event-tail <K>       events retained per job for status (default 64)\n\
+         \x20 --state-dir <dir>      persist frontier.json + frontier.wal +\n\
+         \x20                        jobs.json here\n\
+         \x20 --compact-every <K>    WAL records before the frontier store\n\
+         \x20                        compacts (default 64)\n\
+         \n\
+         CLUSTER (DESIGN.md §16; all three flags together)\n\
+         \x20 --shard-id <K>         this node's shard id (0-based)\n\
+         \x20 --peers <a,b,c>        every shard's listen address, in shard-id\n\
+         \x20                        order; --addr defaults to peers[shard-id]\n\
+         \x20 --replicas <R>         followers per primary on the peer ring\n\
+         \x20                        (default 1 with >1 peers; 0 disables\n\
+         \x20                        replication)"
+    );
+    if help_or_reject("serve", opts, &help) {
         return;
     }
     let cluster = opts.get("peers").map(|raw| {
@@ -818,26 +836,26 @@ fn cmd_serve(opts: &HashMap<String, String>) {
 }
 
 fn cmd_submit(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl submit — enqueue a sweep job on a running server\n\
-             \n\
-             OPTIONS\n\
-             \x20 --addr <ip:port>       server address (default {DEFAULT_SERVE_ADDR})\n\
-             \x20 --peers <a,b,c>        cluster mode: route to the shard owning the\n\
-             \x20                        job's key (with --replicas, default 1)\n\
-             \x20 --task adder|prefix-or|incrementer   (default adder)\n\
-             \x20 --backend analytical|synthesis|synthesis-power\n\
-             \x20                        (default analytical; a synthesis binding\n\
-             \x20                        keeps the first job's median weight for\n\
-             \x20                        its curve point — shared-cache soundness)\n\
-             \x20 --n <N>                input width (default 8)\n\
-             \x20 --weights <K> / --w-min / --w-max / --w-list <w1,w2,...>\n\
-             \x20                        weight schedule (defaults as in sweep;\n\
-             \x20                        duplicates are rejected loudly)\n\
-             \x20 --steps <K>            environment steps per agent (default 2000)\n\
-             \x20 --seed <S>             master seed (default 0)"
-        );
+    let help = format!(
+        "prefixrl submit — enqueue a sweep job on a running server\n\
+         \n\
+         OPTIONS\n\
+         \x20 --addr <ip:port>       server address (default {DEFAULT_SERVE_ADDR})\n\
+         \x20 --peers <a,b,c>        cluster mode: route to the shard owning the\n\
+         \x20                        job's key (with --replicas, default 1)\n\
+         \x20 --task adder|prefix-or|incrementer   (default adder)\n\
+         \x20 --backend analytical|synthesis|synthesis-power\n\
+         \x20                        (default analytical; a synthesis binding\n\
+         \x20                        keeps the first job's median weight for\n\
+         \x20                        its curve point — shared-cache soundness)\n\
+         \x20 --n <N>                input width (default 8)\n\
+         \x20 --weights <K> / --w-min / --w-max / --w-list <w1,w2,...>\n\
+         \x20                        weight schedule (defaults as in sweep;\n\
+         \x20                        duplicates are rejected loudly)\n\
+         \x20 --steps <K>            environment steps per agent (default 2000)\n\
+         \x20 --seed <S>             master seed (default 0)"
+    );
+    if help_or_reject("submit", opts, &help) {
         return;
     }
     let weights = parse_weights(opts);
@@ -870,15 +888,15 @@ fn cmd_submit(opts: &HashMap<String, String>) {
 }
 
 fn cmd_status(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl status — one job's status, or the full job list\n\
-             \n\
-             OPTIONS\n\
-             \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})\n\
-             \x20 --id <K>          job id (omit to list every job)\n\
-             \x20 --tail <K>        recent events to include (default 16)"
-        );
+    let help = format!(
+        "prefixrl status — one job's status, or the full job list\n\
+         \n\
+         OPTIONS\n\
+         \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})\n\
+         \x20 --id <K>          job id (omit to list every job)\n\
+         \x20 --tail <K>        recent events to include (default 16)"
+    );
+    if help_or_reject("status", opts, &help) {
         return;
     }
     let client = serve_client(opts);
@@ -889,15 +907,15 @@ fn cmd_status(opts: &HashMap<String, String>) {
 }
 
 fn cmd_cancel(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl cancel — cancel a queued or running job\n\
-             \n\
-             OPTIONS\n\
-             \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})\n\
-             \x20 --id <K>          job id (required); a running job stops\n\
-             \x20                   within one event tick"
-        );
+    let help = format!(
+        "prefixrl cancel — cancel a queued or running job\n\
+         \n\
+         OPTIONS\n\
+         \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})\n\
+         \x20 --id <K>          job id (required); a running job stops\n\
+         \x20                   within one event tick"
+    );
+    if help_or_reject("cancel", opts, &help) {
         return;
     }
     let Some(id) = get_opt::<u64>(opts, "id") else {
@@ -908,26 +926,26 @@ fn cmd_cancel(opts: &HashMap<String, String>) {
 }
 
 fn cmd_frontier(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl frontier — fetch a stored merged Pareto front\n\
-             \n\
-             The server merges every finished job's design pool into one\n\
-             persistent front per (task, backend, width) key; this returns the\n\
-             current combined front for one key (and lists all stored keys).\n\
-             \n\
-             OPTIONS\n\
-             \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})\n\
-             \x20 --peers <a,b,c>   cluster mode: route to the owning shard, fail\n\
-             \x20                   reads over to followers (--replicas, default 1)\n\
-             \x20 --task <name>     circuit task (default adder)\n\
-             \x20 --backend <name>  objective backend (default analytical)\n\
-             \x20 --n <N>           input width (default 8)\n\
-             \n\
-             Exits 1 with `no such key` when nothing was ever merged under\n\
-             the (task, backend, n) key — distinct from a stored-but-empty\n\
-             front, which prints normally with count 0."
-        );
+    let help = format!(
+        "prefixrl frontier — fetch a stored merged Pareto front\n\
+         \n\
+         The server merges every finished job's design pool into one\n\
+         persistent front per (task, backend, width) key; this returns the\n\
+         current combined front for one key (and lists all stored keys).\n\
+         \n\
+         OPTIONS\n\
+         \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})\n\
+         \x20 --peers <a,b,c>   cluster mode: route to the owning shard, fail\n\
+         \x20                   reads over to followers (--replicas, default 1)\n\
+         \x20 --task <name>     circuit task (default adder)\n\
+         \x20 --backend <name>  objective backend (default analytical)\n\
+         \x20 --n <N>           input width (default 8)\n\
+         \n\
+         Exits 1 with `no such key` when nothing was ever merged under\n\
+         the (task, backend, n) key — distinct from a stored-but-empty\n\
+         front, which prints normally with count 0."
+    );
+    if help_or_reject("frontier", opts, &help) {
         return;
     }
     let task = opts.get("task").cloned().unwrap_or_else(|| "adder".into());
@@ -966,34 +984,34 @@ fn cmd_frontier(opts: &HashMap<String, String>) {
 }
 
 fn cmd_query(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl query — look up stored designs on the server's read tier\n\
-             \n\
-             Answers come from the server's lock-free frontier snapshot\n\
-             (DESIGN.md §15): reads never wait on a running merge. Exactly one\n\
-             query mode is required.\n\
-             \n\
-             MODES\n\
-             \x20 --at-delay <D>    minimum-area stored design with delay <= D\n\
-             \x20                   (falls back to the fastest design, met=false,\n\
-             \x20                   when nothing is that fast)\n\
-             \x20 --at-weight <W>   scalarized argmin at area-weight W in [0, 1]\n\
-             \x20                   (W=0 fastest, W=1 smallest)\n\
-             \x20 --range <LO:HI>   every stored design with LO <= delay <= HI\n\
-             \n\
-             OPTIONS\n\
-             \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})\n\
-             \x20 --peers <a,b,c>   cluster mode: route to the owning shard, fail\n\
-             \x20                   reads over to followers (--replicas, default 1)\n\
-             \x20 --task <name>     circuit task (default adder)\n\
-             \x20 --backend <name>  objective backend (default analytical)\n\
-             \x20 --n <N>           input width (default 8)\n\
-             \x20 --include-graph   attach the stored prefix graph(s)\n\
-             \n\
-             Exits 1 with `no such key` when nothing was ever merged under\n\
-             the (task, backend, n) key."
-        );
+    let help = format!(
+        "prefixrl query — look up stored designs on the server's read tier\n\
+         \n\
+         Answers come from the server's lock-free frontier snapshot\n\
+         (DESIGN.md §15): reads never wait on a running merge. Exactly one\n\
+         query mode is required.\n\
+         \n\
+         MODES\n\
+         \x20 --at-delay <D>    minimum-area stored design with delay <= D\n\
+         \x20                   (falls back to the fastest design, met=false,\n\
+         \x20                   when nothing is that fast)\n\
+         \x20 --at-weight <W>   scalarized argmin at area-weight W in [0, 1]\n\
+         \x20                   (W=0 fastest, W=1 smallest)\n\
+         \x20 --range <LO:HI>   every stored design with LO <= delay <= HI\n\
+         \n\
+         OPTIONS\n\
+         \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})\n\
+         \x20 --peers <a,b,c>   cluster mode: route to the owning shard, fail\n\
+         \x20                   reads over to followers (--replicas, default 1)\n\
+         \x20 --task <name>     circuit task (default adder)\n\
+         \x20 --backend <name>  objective backend (default analytical)\n\
+         \x20 --n <N>           input width (default 8)\n\
+         \x20 --include-graph   attach the stored prefix graph(s)\n\
+         \n\
+         Exits 1 with `no such key` when nothing was ever merged under\n\
+         the (task, backend, n) key."
+    );
+    if help_or_reject("query", opts, &help) {
         return;
     }
     let task = opts.get("task").cloned().unwrap_or_else(|| "adder".into());
@@ -1066,16 +1084,16 @@ fn cmd_query(opts: &HashMap<String, String>) {
 }
 
 fn cmd_shutdown(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl shutdown — ask the server to stop gracefully\n\
-             \n\
-             Running jobs are cancelled and re-queued in the persisted state,\n\
-             so a restart with the same --state-dir resumes them.\n\
-             \n\
-             OPTIONS\n\
-             \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})"
-        );
+    let help = format!(
+        "prefixrl shutdown — ask the server to stop gracefully\n\
+         \n\
+         Running jobs are cancelled and re-queued in the persisted state,\n\
+         so a restart with the same --state-dir resumes them.\n\
+         \n\
+         OPTIONS\n\
+         \x20 --addr <ip:port>  server address (default {DEFAULT_SERVE_ADDR})"
+    );
+    if help_or_reject("shutdown", opts, &help) {
         return;
     }
     match serve_client(opts).shutdown() {
@@ -1091,16 +1109,14 @@ fn cmd_shutdown(opts: &HashMap<String, String>) {
 }
 
 fn cmd_verilog(opts: &HashMap<String, String>) {
-    if wants_help(opts) {
-        eprintln!(
-            "prefixrl verilog — emit structural Verilog for a structure\n\
-             \n\
-             OPTIONS\n\
-             \x20 --structure <name>     structure to emit (default brent_kung)\n\
-             \x20 --n <N>                input width (default 16)\n\
-             \x20 --target <ns>          timing-optimize to this delay first\n\
-             \x20 --lib nangate45|tech8  cell library (default nangate45)"
-        );
+    let help = "prefixrl verilog — emit structural Verilog for a structure\n\
+                \n\
+                OPTIONS\n\
+                \x20 --structure <name>     structure to emit (default brent_kung)\n\
+                \x20 --n <N>                input width (default 16)\n\
+                \x20 --target <ns>          timing-optimize to this delay first\n\
+                \x20 --lib nangate45|tech8  cell library (default nangate45)";
+    if help_or_reject("verilog", opts, help) {
         return;
     }
     let n: u16 = get(opts, "n", 16);
